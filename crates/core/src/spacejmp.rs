@@ -133,6 +133,14 @@ pub struct RetryPolicy {
     pub max_backoff_shift: u32,
 }
 
+impl RetryPolicy {
+    /// Cycles to wait before retry number `attempt + 1`:
+    /// `base_backoff_cycles << min(attempt, max_backoff_shift)`.
+    pub fn backoff(&self, attempt: u32) -> u64 {
+        self.base_backoff_cycles << attempt.min(self.max_backoff_shift)
+    }
+}
+
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
@@ -1068,10 +1076,9 @@ impl SpaceJmp {
                         return Err(SjError::WouldBlock);
                     }
                     let ctx = self.ctx(pid);
-                    let shift = attempt.min(policy.max_backoff_shift);
                     self.kernel
                         .clocks()
-                        .advance(ctx.core, policy.base_backoff_cycles << shift);
+                        .advance(ctx.core, policy.backoff(attempt));
                     attempt += 1;
                     self.kernel.tracer().instant(
                         self.now_on(ctx),

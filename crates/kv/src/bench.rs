@@ -1,4 +1,4 @@
-//! The Figure 10 benchmark engine.
+//! The Figure 10 benchmark entry points.
 //!
 //! The paper drives Redis and RedisJMP with `redis-benchmark`: up to 100
 //! concurrent closed-loop clients on the twelve-core machine M1. Real
@@ -7,23 +7,28 @@
 //! whose per-request costs are *measured* from the real simulated code
 //! paths first:
 //!
-//! 1. [`measure_costs`] runs actual GET/SET requests through
+//! 1. [`measure_costs_on`] runs actual GET/SET requests through
 //!    [`crate::jmp::JmpClient`] (switches, segment locks, scratch-heap
 //!    parsing, segment-resident dictionary) and through
 //!    [`crate::server::RedisServer`], recording cycles per operation.
-//! 2. The DES replays those costs for N clients over M1's core pool, a
-//!    FIFO reader/writer segment lock with handoff and cache-line-bounce
-//!    penalties, and the socket path's per-message kernel costs.
+//! 2. [`run_jmp`] replays those costs for N closed-loop clients through
+//!    the one RedisJMP serving engine ([`crate::overload`]): M1's core
+//!    pool and a FIFO reader/writer segment lock with handoff and
+//!    cache-line-bounce penalties, on one shard with no admission bound
+//!    and no deadline.
+//! 3. [`run_classic`] replays them through the socket-served design: a
+//!    single-threaded server loop per instance and the socket path's
+//!    per-message kernel costs.
 
 use sjmp_mem::cost::{CostModel, MachineId, MachineProfile};
 use sjmp_mem::KernelFlavor;
 use sjmp_os::{Creds, Kernel};
-use sjmp_sim::SimRng;
-use sjmp_sim::{ClosedLoop, Cores, LockMode, Sim, SimRwLock};
+use sjmp_sim::{ClosedLoop, Cores, CycleClock, Sim, SimRng};
 use sjmp_trace::Tracer;
 use spacejmp_core::{SjResult, SpaceJmp};
 
 use crate::jmp::JmpClient;
+use crate::overload::{serve, OverloadConfig, Population};
 use crate::resp::Command;
 use crate::server::RedisServer;
 
@@ -109,40 +114,32 @@ fn throughput(profile: &MachineProfile, requests: u64, cycles: u64) -> Throughpu
     }
 }
 
-/// Number of keys preloaded before measuring.
-const PRELOAD_KEYS: usize = 256;
+/// Keys preloaded before measuring; the serving engine draws the keys
+/// it routes from the same space.
+pub(crate) const KEYSPACE: usize = 256;
 /// Payload bytes (the paper uses 4-byte payloads).
 const PAYLOAD: usize = 4;
 
-fn preload_key(i: usize) -> Vec<u8> {
+pub(crate) fn preload_key(i: usize) -> Vec<u8> {
     format!("key:{i:06}").into_bytes()
 }
 
+/// Mean cycles on `clock` of 64 runs of `op`, the i-th over preloaded
+/// key `i % KEYSPACE`.
+fn per_op(clock: &CycleClock, mut op: impl FnMut(usize) -> SjResult<()>) -> SjResult<u64> {
+    const REPS: u64 = 64;
+    let t0 = clock.now();
+    for i in 0..REPS {
+        op(i as usize % KEYSPACE)?;
+    }
+    Ok(clock.since(t0) / REPS)
+}
+
 /// Measures per-op costs by running real operations through the
-/// simulated stack.
-///
-/// # Errors
-///
-/// Propagates setup failures.
-pub fn measure_costs(tagging: bool) -> SjResult<OpCosts> {
-    measure_costs_traced(tagging, Tracer::disabled())
-}
-
-/// [`measure_costs`] with a tracer installed on both measurement kernels,
-/// so the RedisJMP visit (switches, locks, dictionary walks) shows up in
-/// the event stream.
-///
-/// # Errors
-///
-/// Propagates setup failures.
-pub fn measure_costs_traced(tagging: bool, tracer: Tracer) -> SjResult<OpCosts> {
-    measure_costs_on(MachineId::M1, tagging, tracer)
-}
-
-/// [`measure_costs_traced`] on an arbitrary machine profile: the same
-/// live measurement, but the kernels charge the chosen machine's cost
-/// model, so the overload sweeps can replay per-op costs for M1/M2/M3
-/// instead of assuming the Figure 10 machine.
+/// simulated stack of `machine`, with `tracer` installed on both
+/// measurement kernels so the RedisJMP visit (switches, locks,
+/// dictionary walks) shows up in the event stream. The overload sweeps
+/// replay per-op costs for M1/M2/M3; Figure 10 uses M1.
 ///
 /// # Errors
 ///
@@ -160,57 +157,37 @@ pub fn measure_costs_on(machine: MachineId, tagging: bool, tracer: Tracer) -> Sj
     sj.kernel_mut().activate(pid)?;
     let mut client = JmpClient::join_with_tags(&mut sj, pid, "measure", 0, tagging)?;
     let payload = vec![b'x'; PAYLOAD];
-    for i in 0..PRELOAD_KEYS {
+    for i in 0..KEYSPACE {
         client.set(&mut sj, &preload_key(i), &payload)?;
     }
     let clock = sj.kernel().clock().clone();
-    let reps = 64u64;
-    let t0 = clock.now();
-    for i in 0..reps {
-        client.get(&mut sj, &preload_key(i as usize % PRELOAD_KEYS))?;
-    }
-    let jmp_get = clock.since(t0) / reps;
-    let t1 = clock.now();
-    for i in 0..reps {
-        client.set(&mut sj, &preload_key(i as usize % PRELOAD_KEYS), &payload)?;
-    }
-    let jmp_set = clock.since(t1) / reps;
+    let jmp_get = per_op(&clock, |k| client.get(&mut sj, &preload_key(k)).map(drop))?;
+    let jmp_set = per_op(&clock, |k| client.set(&mut sj, &preload_key(k), &payload))?;
     // Pure switch round trips (no command between the switches),
     // isolating the VAS-switch share of a visit. Measured last so the
     // get/set numbers above are unaffected by the extra traffic.
     let retry = spacejmp_core::RetryPolicy::default();
-    let t_sw = clock.now();
-    for _ in 0..reps {
+    let jmp_switch = per_op(&clock, |_| {
         sj.vas_switch_retry(pid, client.read_handle(), &retry)?;
-        sj.vas_switch_home(pid)?;
-    }
-    let jmp_switch = clock.since(t_sw) / reps;
+        sj.vas_switch_home(pid)
+    })?;
 
     // Classic server path (no sockets; those are added analytically).
     let mut sj2 = SpaceJmp::new(Kernel::new(KernelFlavor::DragonFly, machine));
     sj2.set_tracer(tracer);
     let mut server = RedisServer::launch(&mut sj2, 0)?;
-    for i in 0..PRELOAD_KEYS {
-        let cmd = Command::Set(preload_key(i), payload.clone()).encode();
-        server.handle_request(&mut sj2, &cmd)?;
+    let set = |k: usize| Command::Set(preload_key(k), payload.clone()).encode();
+    for i in 0..KEYSPACE {
+        server.handle_request(&mut sj2, &set(i))?;
     }
     let clock2 = sj2.kernel().clock().clone();
-    let get_wire: Vec<Vec<u8>> = (0..reps)
-        .map(|i| Command::Get(preload_key(i as usize % PRELOAD_KEYS)).encode())
-        .collect();
-    let t2 = clock2.now();
-    for w in &get_wire {
-        server.handle_request(&mut sj2, w)?;
-    }
-    let server_get = clock2.since(t2) / reps;
-    let set_wire: Vec<Vec<u8>> = (0..reps)
-        .map(|i| Command::Set(preload_key(i as usize % PRELOAD_KEYS), payload.clone()).encode())
-        .collect();
-    let t3 = clock2.now();
-    for w in &set_wire {
-        server.handle_request(&mut sj2, w)?;
-    }
-    let server_set = clock2.since(t3) / reps;
+    let server_get = per_op(&clock2, |k| {
+        let wire = Command::Get(preload_key(k)).encode();
+        server.handle_request(&mut sj2, &wire).map(drop)
+    })?;
+    let server_set = per_op(&clock2, |k| {
+        server.handle_request(&mut sj2, &set(k)).map(drop)
+    })?;
 
     Ok(OpCosts {
         jmp_get,
@@ -228,7 +205,7 @@ pub fn measure_costs_on(machine: MachineId, tagging: bool, tracer: Tracer) -> Sj
 ///
 /// Propagates measurement failures.
 pub fn run_classic(cfg: &KvBenchConfig, instances: usize) -> SjResult<Throughput> {
-    let costs = measure_costs_traced(false, cfg.tracer.clone())?;
+    let costs = measure_costs_on(MachineId::M1, false, cfg.tracer.clone())?;
     let profile = MachineProfile::of(MachineId::M1);
     let cost = CostModel::default();
     let cores = profile.total_cores() as usize;
@@ -302,82 +279,35 @@ pub(crate) const READER_BOUNCE: u64 = 250;
 pub(crate) const WAITER_BOUNCE: u64 = 150;
 
 /// Runs the RedisJMP design: N closed-loop clients switching into the
-/// store VAS, serialized by the segment lock for writes.
+/// store VAS, serialized by the segment lock for writes. The serving
+/// engine runs one shard with no admission bound and no deadline, so
+/// every request completes.
 ///
 /// # Errors
 ///
 /// Propagates measurement failures.
 pub fn run_jmp(cfg: &KvBenchConfig) -> SjResult<Throughput> {
-    let costs = measure_costs_traced(cfg.tagging, cfg.tracer.clone())?;
-    let profile = MachineProfile::of(MachineId::M1);
-    let cost = CostModel::default();
-    let cores = profile.total_cores() as usize;
-
-    #[derive(Clone, Copy)]
-    enum Ev {
-        /// Client issues a request (tries to take the segment lock).
-        Start(usize),
-        /// Lock granted; begin the visit (reserve a core).
-        Begin(usize),
-        /// Visit complete; release the lock.
-        Release(usize),
-    }
-
-    let mut rng = SimRng::seed_from_u64(cfg.seed);
-    let mut sim: Sim<Ev> = Sim::new();
-    for c in 0..cfg.clients {
-        sim.schedule(0, Ev::Start(c));
-    }
-    let mut lock = SimRwLock::new();
-    let mut pool = Cores::new(cores);
-    let mut mode = vec![LockMode::Shared; cfg.clients];
-    let mut population = ClosedLoop::new(cfg.clients, cfg.requests_per_client);
-
-    // Cycles of the visit once the lock is granted.
-    let reader_bounce = cfg.reader_bounce;
-    let visit_cycles = move |is_set: bool, readers_now: usize| -> u64 {
-        let base = if is_set { costs.jmp_set } else { costs.jmp_get };
-        let bounce = if is_set {
-            0
-        } else {
-            readers_now.saturating_sub(1) as u64 * reader_bounce
-        };
-        base + bounce
+    let costs = measure_costs_on(MachineId::M1, cfg.tagging, cfg.tracer.clone())?;
+    let engine = OverloadConfig {
+        machine: MachineId::M1,
+        shards: 1,
+        clients: cfg.clients,
+        requests: cfg.clients * cfg.requests_per_client,
+        set_pct: cfg.set_pct,
+        queue_cap: usize::MAX,
+        deadline: u64::MAX,
+        seed: cfg.seed,
+        waiter_bounce: cfg.waiter_bounce,
+        reader_bounce: cfg.reader_bounce,
+        ..OverloadConfig::default()
     };
-
-    sim.run(|sim, t, ev| {
-        match ev {
-            Ev::Start(c) => {
-                let is_set = rng.gen_range(0..100) < u64::from(cfg.set_pct);
-                mode[c] = if is_set {
-                    LockMode::Exclusive
-                } else {
-                    LockMode::Shared
-                };
-                if lock.acquire(c, mode[c]) {
-                    sim.schedule(t, Ev::Begin(c));
-                }
-                // else: parked in the lock queue; woken on release.
-            }
-            Ev::Begin(c) => {
-                let is_set = mode[c] == LockMode::Exclusive;
-                let dur = visit_cycles(is_set, lock.readers());
-                let (_, e) = pool.reserve(t, dur);
-                sim.schedule(e, Ev::Release(c));
-            }
-            Ev::Release(c) => {
-                let woken = lock.release(mode[c]);
-                let handoff = cost.lock_handoff + lock.queue_len() as u64 * cfg.waiter_bounce;
-                for w in woken {
-                    sim.schedule(t + handoff, Ev::Begin(w));
-                }
-                if population.complete(c, t) {
-                    sim.schedule(t, Ev::Start(c));
-                }
-            }
-        }
-    });
-    Ok(throughput(&profile, population.done(), population.end()))
+    let population = Population::Closed(ClosedLoop::new(cfg.clients, cfg.requests_per_client));
+    let (res, end) = serve(&engine, &costs, population);
+    Ok(throughput(
+        &MachineProfile::of(MachineId::M1),
+        res.completed,
+        end,
+    ))
 }
 
 #[cfg(test)]
@@ -395,7 +325,7 @@ mod tests {
 
     #[test]
     fn costs_are_sane() {
-        let c = measure_costs(false).unwrap();
+        let c = measure_costs_on(MachineId::M1, false, Tracer::disabled()).unwrap();
         assert!(
             c.jmp_get > 2 * 1127,
             "visit includes two untagged switches: {c:?}"
@@ -407,7 +337,7 @@ mod tests {
             "switch round trip is a proper part of a visit: {c:?}"
         );
         // Tagged switches are cheaper end to end.
-        let tagged = measure_costs(true).unwrap();
+        let tagged = measure_costs_on(MachineId::M1, true, Tracer::disabled()).unwrap();
         assert!(tagged.jmp_get < c.jmp_get, "tagged {tagged:?} vs {c:?}");
     }
 

@@ -20,32 +20,37 @@
 //! are plain virtual addresses valid in any attaching process.
 //!
 //! [`mod@bench`] regenerates Figure 10 (GET/SET throughput vs. client count
-//! and the mixed-ratio sweep) with a deterministic discrete-event
-//! simulation fed by per-op costs measured from these code paths.
+//! and the mixed-ratio sweep) by replaying per-op costs measured from
+//! these code paths: RedisJMP through the one serving engine in
+//! [`mod@overload`] (a deterministic discrete-event simulation, here
+//! with a closed-loop client population), classic Redis through its own
+//! socket-server loop.
 //!
 //! Beyond the paper's closed loops, [`mod@shard`] scales RedisJMP out —
 //! the store consistent-hash-sharded over multiple segments/VASes with
 //! admission control and pressure-driven read-only degradation — and
-//! [`mod@overload`] drives the sharded store with *open-loop* traffic
+//! [`mod@overload`] drives the same engine with *open-loop* traffic
 //! (Poisson and bursty arrivals) to measure goodput, shed rate, and
-//! tail latency across the saturation point.
+//! tail latency across the saturation point. Both the live sharded
+//! store and the engine take their admit, shed, degrade and deadline
+//! decisions from one policy ([`mod@policy`]).
 
 pub mod bench;
 pub mod dict;
 pub mod jmp;
 pub mod overload;
+pub mod policy;
 pub mod resp;
 pub mod server;
 pub mod shard;
 
-pub use bench::{
-    measure_costs, measure_costs_on, run_classic, run_jmp, KvBenchConfig, OpCosts, Throughput,
-};
+pub use bench::{measure_costs_on, run_classic, run_jmp, KvBenchConfig, OpCosts, Throughput};
 pub use dict::{DictStats, SegDict};
 pub use jmp::{JmpClient, JoinOpts};
 pub use overload::{
     rps_to_mean_gap, run_overload, run_overload_at, saturation_rps, OverloadConfig, OverloadResult,
 };
+pub use policy::RejectReason;
 pub use resp::{Command, Reply, RespError};
 pub use server::RedisServer;
-pub use shard::{RejectReason, ShardError, ShardHealth, ShardRouter, ShardedKv, MAX_SHARDS};
+pub use shard::{ShardError, ShardHealth, ShardRouter, ShardedKv, MAX_SHARDS};

@@ -1,52 +1,56 @@
-//! The overload benchmark engine: open-loop traffic against the sharded
-//! RedisJMP store, with admission control, deadlines, and retries.
+//! The RedisJMP serving engine: requests visit the sharded store under
+//! FIFO segment locks, with admission control, deadlines, and retries.
 //!
-//! The Figure 10 engine ([`crate::bench`]) is a *closed* loop: each
-//! client waits for its reply, so offered load can never exceed service
-//! capacity and the system cannot collapse. Capacity planning for a
-//! production deployment needs the opposite experiment — an **open
-//! loop** ([`sjmp_sim::OpenLoop`]) where arrivals keep coming at the
-//! offered rate no matter how the store is doing. Without overload
-//! control, every arrival past saturation joins a queue; queues grow
-//! without bound, latency diverges, and *goodput falls* because cores
-//! burn cycles on requests whose clients already gave up.
+//! One deterministic DES replays measured per-op costs
+//! ([`crate::bench::measure_costs_on`]) for every RedisJMP experiment.
+//! It is parametrised by its population:
 //!
-//! The engine here replays measured per-op costs
-//! ([`crate::bench::measure_costs_on`]) in a deterministic DES, exactly
-//! like `run_jmp`, but adds the production serving discipline:
+//! * **Closed loop** ([`sjmp_sim::ClosedLoop`]) — Figure 10's
+//!   [`crate::bench::run_jmp`]: each client waits for its reply, on one
+//!   shard with no admission bound and no deadline, so offered load can
+//!   never exceed service capacity.
+//! * **Open loop** ([`sjmp_sim::OpenLoop`]) — [`run_overload`]: arrivals
+//!   keep coming at the offered rate however the store is doing.
+//!   Without overload control, every arrival past saturation joins a
+//!   queue; queues grow without bound, latency diverges, and *goodput
+//!   falls* because cores burn cycles on requests whose clients already
+//!   gave up.
+//!
+//! The serving discipline, with every decision taken by `ServePolicy`
+//! (the rules the live [`crate::shard::ShardedKv`] applies too):
 //!
 //! * **Sharding** — `S` store segments with independent FIFO segment
 //!   locks; requests route by consistent hash ([`crate::shard::ShardRouter`]).
 //! * **Admission** — an arrival finding its shard's queue at
-//!   `queue_cap` is **shed** immediately ([`crate::shard::RejectReason::Shed`]):
-//!   rejecting is cheap, queueing is not. Shed clients retry with the
-//!   PR 1 exponential backoff plus deterministic jitter, up to
+//!   `queue_cap` is **shed** immediately ([`RejectReason::Shed`]):
+//!   rejecting is cheap, queueing is not. Shed clients retry after
+//!   [`RetryPolicy::backoff`] plus deterministic jitter, up to
 //!   `retry.max_retries` attempts.
-//! * **Deadlines** — a request that reaches the head of the line after
-//!   its deadline is dropped *at dispatch* without burning a core
-//!   ([`crate::shard::RejectReason::DeadlineExceeded`]); a completion past its
+//! * **Deadlines** — checked only at dispatch: a request that reaches
+//!   the head of the line after its deadline is dropped without burning
+//!   a core ([`RejectReason::DeadlineExceeded`]); a completion past its
 //!   deadline counts as wasted work, not goodput.
 //! * **Degraded mode** — from `degrade_at` on, `degraded_shards`
 //!   shards flip read-only and refuse SETs with
-//!   [`crate::shard::RejectReason::ShardUnavailable`], replaying in the DES the
-//!   [`sjmp_os::PressureLevel`] signal the live
-//!   [`crate::shard::ShardedKv`] path reads from the kernel.
+//!   [`RejectReason::ShardUnavailable`], replaying in the DES the
+//!   [`sjmp_os::PressureLevel`] signal the live path reads from the
+//!   kernel.
 //!
 //! Everything is seeded: two runs with one config are bit-identical,
 //! which CI enforces by running the sweep twice and byte-comparing.
 
 use sjmp_mem::cost::{CostModel, MachineId, MachineProfile};
-use sjmp_sim::{Arrival, Cores, LockMode, OpenLoop, Sim, SimRng, SimRwLock};
+use sjmp_sim::{Arrival, ClosedLoop, Cores, LockMode, OpenLoop, Sim, SimRng, SimRwLock};
 use sjmp_trace::{
     assemble_requests, slowest_completed, Event, EventKind, Histogram, Phase, RequestSpan, Tracer,
 };
 use spacejmp_core::{RetryPolicy, SjResult};
 
-use crate::bench::{measure_costs_on, OpCosts, READER_BOUNCE, WAITER_BOUNCE};
+use crate::bench::{
+    measure_costs_on, preload_key, OpCosts, KEYSPACE, READER_BOUNCE, WAITER_BOUNCE,
+};
+use crate::policy::{RejectReason, ServePolicy};
 use crate::shard::ShardRouter;
-
-/// Keyspace size for routing (matches the Figure 10 preload).
-const KEYSPACE: usize = 256;
 
 /// Configuration of one open-loop overload run.
 #[derive(Debug, Clone)]
@@ -67,8 +71,8 @@ pub struct OverloadConfig {
     /// Per-shard admission bound: arrivals finding this many waiters
     /// queued on the shard lock are shed.
     pub queue_cap: usize,
-    /// Relative deadline in cycles from arrival; admitted work
-    /// completing later is waste, not goodput.
+    /// Relative deadline in cycles from arrival (`u64::MAX` = none);
+    /// admitted work completing later is waste, not goodput.
     pub deadline: u64,
     /// Client retry-after-shed schedule (PR 1 backoff).
     pub retry: RetryPolicy,
@@ -106,10 +110,7 @@ impl Default for OverloadConfig {
             requests: 20_000,
             set_pct: 10,
             arrival: Arrival::Poisson { mean_gap: 2_000.0 },
-            // Deliberately tight: handoff cost grows with queue depth
-            // (waiter_bounce), so a deep queue slows the lock itself.
-            // Shedding at 8 keeps the service rate near its peak.
-            queue_cap: 8,
+            queue_cap: ServePolicy::DEFAULT_QUEUE_CAP,
             deadline: 2_000_000,
             retry: RetryPolicy {
                 max_retries: 3,
@@ -130,7 +131,7 @@ impl Default for OverloadConfig {
 }
 
 /// Outcome counters and latency tail of one overload run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OverloadResult {
     /// Arrivals generated (offered requests, before retries).
     pub offered: u64,
@@ -218,50 +219,6 @@ pub fn rps_to_mean_gap(machine: MachineId, rps: f64) -> f64 {
     1.0 / (rps * secs_per_cycle)
 }
 
-/// Per-request state tracked across admission, retries, and dispatch.
-struct Req {
-    shard: usize,
-    is_set: bool,
-    arrived: u64,
-    attempts: u32,
-    /// Issuing client id (for fairness accounting of sheds).
-    client: usize,
-    /// Core the visit was dispatched on (for `ReqComplete` attribution).
-    core: u32,
-}
-
-/// Shed-reason codes carried in `ReqShed.arg1` (decoded by
-/// [`sjmp_trace::ReqOutcome::from_shed_code`]).
-const SHED_QUEUE: u64 = 0;
-const SHED_DEADLINE: u64 = 1;
-const SHED_UNAVAILABLE: u64 = 2;
-
-/// Emits one request-lifecycle instant into the local span buffer (when
-/// request tracing is on) and mirrors it to the run's tracer (when
-/// enabled) so Chrome exports carry the same stream. Pure observation:
-/// touches no clock, core pool, or RNG.
-fn emit(
-    buf: &mut Option<Vec<Event>>,
-    tracer: &Tracer,
-    ts: u64,
-    core: u32,
-    kind: EventKind,
-    arg0: u64,
-    arg1: u64,
-) {
-    if let Some(v) = buf {
-        v.push(Event {
-            ts,
-            core,
-            phase: Phase::Instant,
-            kind,
-            arg0,
-            arg1,
-        });
-    }
-    tracer.instant(ts, core, kind, arg0, arg1);
-}
-
 /// Runs one open-loop overload experiment.
 ///
 /// # Errors
@@ -275,296 +232,326 @@ pub fn run_overload(cfg: &OverloadConfig) -> SjResult<OverloadResult> {
     assert!(cfg.shards > 0, "need at least one shard");
     assert!(cfg.requests > 0, "need at least one request");
     let costs = measure_costs_on(cfg.machine, cfg.tagging, cfg.tracer.clone())?;
-    let profile = MachineProfile::of(cfg.machine);
-    let cost = CostModel::default();
+    let arrivals = OpenLoop::new(cfg.arrival, cfg.clients, cfg.requests, cfg.seed);
+    Ok(serve(cfg, &costs, Population::Open(arrivals)).0)
+}
 
-    let router = ShardRouter::new(cfg.shards);
-    let mut rng = SimRng::seed_from_u64(cfg.seed ^ 0x6f76_6c64); // "ovld"
-    let mut arrivals = OpenLoop::new(cfg.arrival, cfg.clients, cfg.requests, cfg.seed);
+/// Who issues the requests the serving engine replays.
+pub(crate) enum Population {
+    /// Fixed clients, each issuing its next request when the last one
+    /// ends (Figure 10). Draws only the op mix from the plain `seed`
+    /// stream; every request goes to shard 0.
+    Closed(ClosedLoop),
+    /// Arrivals at the offered rate however the store is doing. Draws
+    /// the op mix and a routed key per request from the `seed ^ "ovld"`
+    /// stream.
+    Open(OpenLoop),
+}
 
-    // The DES actors: one pooled core set, one FIFO lock per shard.
-    let mut pool = Cores::new(profile.total_cores() as usize);
-    let mut locks: Vec<SimRwLock> = (0..cfg.shards).map(|_| SimRwLock::new()).collect();
+#[derive(Clone, Copy)]
+enum Ev {
+    /// A client issues a new request.
+    Arrive(usize),
+    /// A shed request retries after backoff.
+    Retry(usize),
+    /// The shard lock is held; dispatch on a core.
+    Begin(usize),
+    /// The visit is done; release the lock and account.
+    Release(usize),
+}
 
-    #[derive(Clone, Copy)]
-    enum Ev {
-        /// A new request arrives from the open loop.
-        Arrive(usize),
-        /// A shed request retries after backoff.
-        Retry(usize),
-        /// The shard lock is held; dispatch on a core.
-        Begin(usize),
-        /// The visit is done; release the lock and account.
-        Release(usize),
+/// Per-request state tracked across admission, retries, and dispatch.
+struct Req {
+    shard: usize,
+    is_set: bool,
+    arrived: u64,
+    /// Absolute deadline ([`None`] when the budget overflows the clock).
+    deadline: Option<u64>,
+    attempts: u32,
+    /// Issuing client id (for fairness accounting of sheds).
+    client: usize,
+    /// Core the visit was dispatched on (for `ReqComplete` attribution).
+    core: u32,
+}
+
+impl Req {
+    fn mode(&self) -> LockMode {
+        if self.is_set {
+            LockMode::Exclusive
+        } else {
+            LockMode::Shared
+        }
+    }
+}
+
+/// The RedisJMP serving engine: requests from a [`Population`] visit
+/// sharded store segments under FIFO segment locks on a pooled core
+/// set, replaying measured per-op costs, with [`ServePolicy`] deciding
+/// admission and deadlines.
+struct Engine<'a> {
+    cfg: &'a OverloadConfig,
+    costs: OpCosts,
+    policy: ServePolicy,
+    lock_handoff: u64,
+    population: Population,
+    rng: SimRng,
+    router: ShardRouter,
+    pool: Cores,
+    locks: Vec<SimRwLock>,
+    reqs: Vec<Req>,
+    res: OverloadResult,
+    /// Span buffer for request tracing; the sim never reads it back, so
+    /// the simulated schedule is bit-identical whether it exists or not.
+    spans: Option<Vec<Event>>,
+    last_arrival: u64,
+    end_time: u64,
+}
+
+impl Engine<'_> {
+    /// Emits one request-lifecycle instant into the span buffer (when
+    /// request tracing is on) and mirrors it to the run's tracer (when
+    /// enabled) so Chrome exports carry the same stream. Pure
+    /// observation: touches no clock, core pool, or RNG.
+    fn emit(&mut self, ts: u64, core: u32, kind: EventKind, arg0: usize, arg1: u64) {
+        let arg0 = arg0 as u64;
+        if let Some(v) = &mut self.spans {
+            v.push(Event {
+                ts,
+                core,
+                phase: Phase::Instant,
+                kind,
+                arg0,
+                arg1,
+            });
+        }
+        self.cfg.tracer.instant(ts, core, kind, arg0, arg1);
     }
 
-    let mut reqs: Vec<Req> = Vec::with_capacity(cfg.requests);
-    let mut res = OverloadResult {
-        offered: 0,
-        admitted: 0,
-        completed: 0,
-        shed: 0,
-        retries: 0,
-        deadline_rejects: 0,
-        degraded_rejects: 0,
-        secs: 0.0,
-        offered_rps: 0.0,
-        goodput_rps: 0.0,
-        shed_rate: 0.0,
-        p50: 0,
-        p99: 0,
-        p999: 0,
-        p50_bounds: (0, 0),
-        p99_bounds: (0, 0),
-        p999_bounds: (0, 0),
-        max_queue: 0,
-        latency: Histogram::default(),
-        client_sheds: vec![0; cfg.clients],
-        max_client_sheds: 0,
-        exemplars: Vec::new(),
-    };
-    let mut last_arrival = 0u64;
-    let mut end_time = 0u64;
-    // Span buffer for request tracing; the sim never reads it back, so
-    // the simulated schedule is bit-identical whether it exists or not.
-    let mut spans: Option<Vec<Event>> = cfg.trace_requests.then(Vec::new);
+    fn handle(&mut self, sim: &mut Sim<Ev>, t: u64, ev: Ev) {
+        match ev {
+            Ev::Arrive(client) => self.arrive(sim, t, client),
+            Ev::Retry(r) => self.admit(sim, t, r),
+            Ev::Begin(r) => self.begin(sim, t, r),
+            Ev::Release(r) => self.complete(sim, t, r),
+        }
+    }
 
-    let reader_bounce = cfg.reader_bounce;
-    let visit_cycles = move |is_set: bool, readers_now: usize| -> u64 {
-        let base = if is_set { costs.jmp_set } else { costs.jmp_get };
-        let bounce = if is_set {
-            0
-        } else {
-            readers_now.saturating_sub(1) as u64 * reader_bounce
+    /// Materializes a request and, in the open loop, pre-schedules the
+    /// next arrival so arrivals never stall.
+    fn arrive(&mut self, sim: &mut Sim<Ev>, t: u64, client: usize) {
+        let r = self.reqs.len();
+        let is_set = self.rng.gen_range(0..100) < u64::from(self.cfg.set_pct);
+        let shard = match self.population {
+            Population::Closed(_) => 0,
+            Population::Open(_) => self.router.route(&preload_key(self.rng.index(KEYSPACE))),
         };
-        base + bounce
+        self.reqs.push(Req {
+            shard,
+            is_set,
+            arrived: t,
+            deadline: t.checked_add(self.cfg.deadline),
+            attempts: 0,
+            client,
+            core: 0,
+        });
+        self.res.offered += 1;
+        self.emit(t, 0, EventKind::ReqArrive, r, client as u64);
+        if let Population::Open(arrivals) = &mut self.population {
+            if let Some((id, ta, c)) = arrivals.next_arrival_tagged() {
+                debug_assert_eq!(id as usize, r + 1);
+                self.last_arrival = ta;
+                sim.schedule(ta, Ev::Arrive(c));
+            }
+        }
+        self.admit(sim, t, r);
+    }
+
+    /// Admission, shared by fresh arrivals and retries: take the shard
+    /// lock path, or retry a shed with backoff plus jitter while the
+    /// budget lasts, or reject for good.
+    fn admit(&mut self, sim: &mut Sim<Ev>, t: u64, r: usize) {
+        let req = &self.reqs[r];
+        let degraded = self
+            .cfg
+            .degrade_at
+            .is_some_and(|at| t >= at && req.shard < self.cfg.degraded_shards);
+        let depth = self.locks[req.shard].queue_len();
+        match self.policy.admit(req.is_set, degraded, depth) {
+            Ok(()) => {
+                self.res.admitted += 1;
+                let (shard, mode) = (req.shard, req.mode());
+                self.emit(t, 0, EventKind::ReqAdmit, r, shard as u64);
+                if self.locks[shard].acquire(r, mode) {
+                    sim.schedule(t, Ev::Begin(r));
+                }
+                // else: parked in FIFO order; woken by a Release.
+            }
+            Err(RejectReason::Shed) if req.attempts < self.cfg.retry.max_retries => {
+                // Shedding is cheap: no core, no lock traffic.
+                let backoff = self.cfg.retry.backoff(req.attempts);
+                let jitter = self.rng.gen_range(0..backoff.max(1));
+                let req = &mut self.reqs[r];
+                req.attempts += 1;
+                let attempts = u64::from(req.attempts);
+                self.res.retries += 1;
+                self.emit(t, 0, EventKind::ReqRetry, r, attempts);
+                sim.schedule(t + backoff + jitter, Ev::Retry(r));
+            }
+            Err(reason) => {
+                self.reject(t, r, reason);
+                self.next_turn(sim, t, r);
+            }
+        }
+    }
+
+    /// Dispatch once the lock is held: drop the request at the head of
+    /// the line if its deadline passed, else run the visit on a core.
+    fn begin(&mut self, sim: &mut Sim<Ev>, t: u64, r: usize) {
+        let req = &self.reqs[r];
+        if ServePolicy::missed(t, req.deadline) {
+            // The client gave up while we queued; release without
+            // burning a core.
+            self.reject(t, r, RejectReason::DeadlineExceeded);
+            self.release(sim, t, r);
+            self.next_turn(sim, t, r);
+            return;
+        }
+        let dur = self.visit_cycles(req);
+        let (core, start, end) = self.pool.reserve_on(t, dur);
+        self.reqs[r].core = core as u32;
+        // The dispatch instant carries the VAS-switch share of the
+        // visit in arg1, letting span reassembly split the service
+        // phase from switch overhead.
+        let switch = self.costs.jmp_switch.min(dur);
+        self.emit(start, core as u32, EventKind::ReqDispatch, r, switch);
+        sim.schedule(end, Ev::Release(r));
+    }
+
+    /// Cycles of the visit once the lock is granted: the measured op,
+    /// plus cache-line bouncing per concurrent reader for a GET.
+    fn visit_cycles(&self, req: &Req) -> u64 {
+        if req.is_set {
+            self.costs.jmp_set
+        } else {
+            let readers = self.locks[req.shard].readers();
+            self.costs.jmp_get + readers.saturating_sub(1) as u64 * self.cfg.reader_bounce
+        }
+    }
+
+    /// The visit is done: release the lock, then count the completion
+    /// as goodput or, past its deadline, as wasted work.
+    fn complete(&mut self, sim: &mut Sim<Ev>, t: u64, r: usize) {
+        self.release(sim, t, r);
+        let req = &self.reqs[r];
+        let within = !ServePolicy::missed(t, req.deadline);
+        if within {
+            self.res.completed += 1;
+            self.res.latency.record(t - req.arrived);
+        } else {
+            self.res.deadline_rejects += 1;
+        }
+        self.emit(t, req.core, EventKind::ReqComplete, r, u64::from(within));
+        self.next_turn(sim, t, r);
+    }
+
+    /// Releases the shard lock `r` holds and hands it to the woken
+    /// waiters after the handoff delay.
+    fn release(&mut self, sim: &mut Sim<Ev>, t: u64, r: usize) {
+        let req = &self.reqs[r];
+        let lock = &mut self.locks[req.shard];
+        let woken = lock.release(req.mode());
+        let handoff = self.lock_handoff + lock.queue_len() as u64 * self.cfg.waiter_bounce;
+        for w in woken {
+            sim.schedule(t + handoff, Ev::Begin(w));
+        }
+        self.end_time = self.end_time.max(t);
+    }
+
+    /// Accounts a request refused without being served.
+    fn reject(&mut self, t: u64, r: usize, reason: RejectReason) {
+        match reason {
+            RejectReason::Shed => {
+                self.res.shed += 1;
+                self.res.client_sheds[self.reqs[r].client] += 1;
+            }
+            RejectReason::DeadlineExceeded => self.res.deadline_rejects += 1,
+            RejectReason::ShardUnavailable => self.res.degraded_rejects += 1,
+        }
+        self.emit(t, 0, EventKind::ReqShed, r, reason.shed_code());
+    }
+
+    /// In the closed loop, the client of finished request `r` issues
+    /// its next request at once while it has any left.
+    fn next_turn(&mut self, sim: &mut Sim<Ev>, t: u64, r: usize) {
+        let client = self.reqs[r].client;
+        if let Population::Closed(clients) = &mut self.population {
+            if clients.complete(client, t) {
+                sim.schedule(t, Ev::Arrive(client));
+            }
+        }
+    }
+}
+
+/// Replays `population` through the serving engine. Returns the
+/// outcome and the cycle time of the last completion or arrival.
+pub(crate) fn serve(
+    cfg: &OverloadConfig,
+    costs: &OpCosts,
+    population: Population,
+) -> (OverloadResult, u64) {
+    let profile = MachineProfile::of(cfg.machine);
+    let seed = match population {
+        Population::Closed(_) => cfg.seed,
+        Population::Open(_) => cfg.seed ^ 0x6f76_6c64, // "ovld"
     };
-    let degraded = |shard: usize, t: u64| -> bool {
-        cfg.degrade_at
-            .is_some_and(|at| t >= at && shard < cfg.degraded_shards)
+    let mut engine = Engine {
+        cfg,
+        costs: *costs,
+        policy: ServePolicy::new(cfg.queue_cap),
+        lock_handoff: CostModel::default().lock_handoff,
+        population,
+        rng: SimRng::seed_from_u64(seed),
+        router: ShardRouter::new(cfg.shards),
+        pool: Cores::new(profile.total_cores() as usize),
+        locks: (0..cfg.shards).map(|_| SimRwLock::new()).collect(),
+        reqs: Vec::with_capacity(cfg.requests),
+        res: OverloadResult {
+            client_sheds: vec![0; cfg.clients],
+            ..OverloadResult::default()
+        },
+        spans: cfg.trace_requests.then(Vec::new),
+        last_arrival: 0,
+        end_time: 0,
     };
 
     let mut sim: Sim<Ev> = Sim::new();
-    // Pull-based arrival chain: exactly one pending arrival in the
-    // queue at any moment; each Arrive schedules its successor. The
-    // pending arrival's client id rides alongside in `next_client`
-    // (the minted ReqId always equals the request index, checked in
-    // the Arrive handler).
-    let mut next_client = 0usize;
-    if let Some((id, t, client)) = arrivals.next_arrival_tagged() {
-        debug_assert_eq!(id, 0);
-        last_arrival = t;
-        next_client = client;
-        sim.schedule(t, Ev::Arrive(0));
-    }
-
-    sim.run(|sim, t, ev| {
-        // Admission shared by fresh arrivals and retries. Returns the
-        // lock-mode used, or None when the request went no further.
-        let admit = |sim: &mut Sim<Ev>,
-                     locks: &mut [SimRwLock],
-                     rng: &mut SimRng,
-                     res: &mut OverloadResult,
-                     reqs: &mut [Req],
-                     spans: &mut Option<Vec<Event>>,
-                     r: usize,
-                     t: u64| {
-            let req = &mut reqs[r];
-            if req.is_set && degraded(req.shard, t) {
-                res.degraded_rejects += 1;
-                emit(
-                    spans,
-                    &cfg.tracer,
-                    t,
-                    0,
-                    EventKind::ReqShed,
-                    r as u64,
-                    SHED_UNAVAILABLE,
-                );
-                return;
-            }
-            let lock = &mut locks[req.shard];
-            if lock.queue_len() >= cfg.queue_cap {
-                // Shed. Cheap: no core, no lock traffic. Retry with
-                // exponential backoff + jitter while the budget lasts.
-                if req.attempts < cfg.retry.max_retries {
-                    let shift = req.attempts.min(cfg.retry.max_backoff_shift);
-                    let backoff = cfg.retry.base_backoff_cycles << shift;
-                    let jitter = rng.gen_range(0..backoff.max(1));
-                    req.attempts += 1;
-                    res.retries += 1;
-                    emit(
-                        spans,
-                        &cfg.tracer,
-                        t,
-                        0,
-                        EventKind::ReqRetry,
-                        r as u64,
-                        u64::from(req.attempts),
-                    );
-                    sim.schedule(t + backoff + jitter, Ev::Retry(r));
-                } else {
-                    res.shed += 1;
-                    res.client_sheds[req.client] += 1;
-                    emit(
-                        spans,
-                        &cfg.tracer,
-                        t,
-                        0,
-                        EventKind::ReqShed,
-                        r as u64,
-                        SHED_QUEUE,
-                    );
-                }
-                return;
-            }
-            res.admitted += 1;
-            emit(
-                spans,
-                &cfg.tracer,
-                t,
-                0,
-                EventKind::ReqAdmit,
-                r as u64,
-                req.shard as u64,
-            );
-            let mode = if req.is_set {
-                LockMode::Exclusive
-            } else {
-                LockMode::Shared
-            };
-            if lock.acquire(r, mode) {
-                sim.schedule(t, Ev::Begin(r));
-            }
-            // else: parked in FIFO order; woken by a Release.
-        };
-
-        match ev {
-            Ev::Arrive(r) => {
-                // Materialize this request and pre-schedule the next
-                // arrival so the open loop never stalls.
-                debug_assert_eq!(r, reqs.len());
-                let client = next_client;
-                let is_set = rng.gen_range(0..100) < u64::from(cfg.set_pct);
-                let key = format!("key:{:06}", rng.index(KEYSPACE));
-                reqs.push(Req {
-                    shard: router.route(key.as_bytes()),
-                    is_set,
-                    arrived: t,
-                    attempts: 0,
-                    client,
-                    core: 0,
-                });
-                res.offered += 1;
-                emit(
-                    &mut spans,
-                    &cfg.tracer,
-                    t,
-                    0,
-                    EventKind::ReqArrive,
-                    r as u64,
-                    client as u64,
-                );
-                if let Some((id, ta, c)) = arrivals.next_arrival_tagged() {
-                    debug_assert_eq!(id as usize, reqs.len());
-                    last_arrival = ta;
-                    next_client = c;
-                    sim.schedule(ta, Ev::Arrive(reqs.len()));
-                }
-                admit(
-                    sim, &mut locks, &mut rng, &mut res, &mut reqs, &mut spans, r, t,
-                );
-            }
-            Ev::Retry(r) => {
-                admit(
-                    sim, &mut locks, &mut rng, &mut res, &mut reqs, &mut spans, r, t,
-                );
-            }
-            Ev::Begin(r) => {
-                let req = &reqs[r];
-                if t > req.arrived + cfg.deadline {
-                    // Head-of-line drop: the client gave up while we
-                    // queued; release without burning a core.
-                    res.deadline_rejects += 1;
-                    emit(
-                        &mut spans,
-                        &cfg.tracer,
-                        t,
-                        0,
-                        EventKind::ReqShed,
-                        r as u64,
-                        SHED_DEADLINE,
-                    );
-                    let mode = if req.is_set {
-                        LockMode::Exclusive
-                    } else {
-                        LockMode::Shared
-                    };
-                    let shard = req.shard;
-                    let woken = locks[shard].release(mode);
-                    let handoff =
-                        cost.lock_handoff + locks[shard].queue_len() as u64 * cfg.waiter_bounce;
-                    for w in woken {
-                        sim.schedule(t + handoff, Ev::Begin(w));
-                    }
-                    end_time = end_time.max(t);
-                    return;
-                }
-                let dur = visit_cycles(req.is_set, locks[req.shard].readers());
-                let (core, start, e) = pool.reserve_on(t, dur);
-                reqs[r].core = core as u32;
-                // The dispatch instant carries the VAS-switch share of
-                // the visit in arg1, letting span reassembly split the
-                // service phase from switch overhead.
-                emit(
-                    &mut spans,
-                    &cfg.tracer,
-                    start,
-                    core as u32,
-                    EventKind::ReqDispatch,
-                    r as u64,
-                    costs.jmp_switch.min(dur),
-                );
-                sim.schedule(e, Ev::Release(r));
-            }
-            Ev::Release(r) => {
-                let req = &reqs[r];
-                let shard = req.shard;
-                let mode = if req.is_set {
-                    LockMode::Exclusive
-                } else {
-                    LockMode::Shared
-                };
-                let woken = locks[shard].release(mode);
-                let handoff =
-                    cost.lock_handoff + locks[shard].queue_len() as u64 * cfg.waiter_bounce;
-                for w in woken {
-                    sim.schedule(t + handoff, Ev::Begin(w));
-                }
-                let latency = t - req.arrived;
-                let within = latency <= cfg.deadline;
-                if within {
-                    res.completed += 1;
-                    res.latency.record(latency);
-                } else {
-                    // Completed, but past deadline: wasted work.
-                    res.deadline_rejects += 1;
-                }
-                emit(
-                    &mut spans,
-                    &cfg.tracer,
-                    t,
-                    req.core,
-                    EventKind::ReqComplete,
-                    r as u64,
-                    u64::from(within),
-                );
-                end_time = end_time.max(t);
+    match &mut engine.population {
+        Population::Closed(clients) => {
+            for c in 0..clients.clients() {
+                sim.schedule(0, Ev::Arrive(c));
             }
         }
-    });
+        // Pull-based arrival chain: exactly one pending arrival in the
+        // queue at any moment; each Arrive schedules its successor.
+        Population::Open(arrivals) => {
+            if let Some((id, t, client)) = arrivals.next_arrival_tagged() {
+                debug_assert_eq!(id, 0);
+                engine.last_arrival = t;
+                sim.schedule(t, Ev::Arrive(client));
+            }
+        }
+    }
+    sim.run(|sim, t, ev| engine.handle(sim, t, ev));
 
-    end_time = end_time.max(last_arrival);
+    let Engine {
+        mut res,
+        locks,
+        spans,
+        last_arrival,
+        end_time,
+        ..
+    } = engine;
+    let end_time = end_time.max(last_arrival);
     res.secs = profile.cycles_to_secs(end_time.max(1));
     let arrival_secs = profile.cycles_to_secs(last_arrival.max(1));
     res.offered_rps = res.offered as f64 / arrival_secs;
@@ -590,7 +577,7 @@ pub fn run_overload(cfg: &OverloadConfig) -> SjResult<OverloadResult> {
             .collect();
     }
     debug_assert!(res.accounted(), "request accounting leak: {res:?}");
-    Ok(res)
+    (res, end_time)
 }
 
 /// Convenience: [`run_overload`] at a given offered load in
@@ -623,7 +610,6 @@ pub fn run_overload_at(cfg: &OverloadConfig, rps: f64) -> SjResult<OverloadResul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::RejectReason;
 
     fn small(requests: usize) -> OverloadConfig {
         OverloadConfig {
@@ -684,6 +670,17 @@ mod tests {
         let res = run_overload(&cfg).unwrap();
         assert!(res.degraded_rejects > 0, "{res:?}");
         assert!(res.completed > 0, "GETs still serve: {res:?}");
+    }
+
+    #[test]
+    fn unbounded_deadline_never_rejects() {
+        let res = run_overload(&OverloadConfig {
+            deadline: u64::MAX,
+            ..small(500)
+        })
+        .unwrap();
+        assert_eq!(res.deadline_rejects, 0, "{res:?}");
+        assert!(res.accounted(), "{res:?}");
     }
 
     #[test]

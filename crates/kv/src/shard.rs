@@ -21,48 +21,26 @@
 //!   pressure ([`sjmp_os::PressureLevel`]), shards flip to read-only:
 //!   SETs fail fast with [`RejectReason::ShardUnavailable`] while GETs
 //!   keep serving, and writes resume when pressure clears.
-//! * **Deadlines** — the `_by` variants reject requests whose deadline
-//!   already passed with [`RejectReason::DeadlineExceeded`] instead of
-//!   doing work nobody is waiting for.
+//! * **Deadlines** — the `_by` variants reject, at admission, requests
+//!   whose deadline already passed on the caller's core clock with
+//!   [`RejectReason::DeadlineExceeded`] instead of doing work nobody is
+//!   waiting for.
+//!
+//! All three decisions come from `ServePolicy`, the same rules the
+//! serving DES ([`crate::overload`]) applies.
 
 use sjmp_os::{Pid, PressureLevel};
 use sjmp_trace::EventKind;
-use spacejmp_core::{SegId, SjError, SpaceJmp};
+use spacejmp_core::{SegId, SjError, SjResult, SpaceJmp};
 
 use crate::jmp::{JmpClient, JoinOpts};
+use crate::policy::{RejectReason, ServePolicy};
 
 /// Maximum shard count: store slots 0..8 precede the scratch slots.
 pub const MAX_SHARDS: usize = 8;
 
 /// Default virtual nodes per shard on the consistent-hash ring.
 const DEFAULT_VNODES: usize = 64;
-
-/// Why a request was refused without being served.
-///
-/// Typed so callers can react differently: `Shed` is transient (retry
-/// with backoff), `ShardUnavailable` is a mode (fail writes fast, keep
-/// reading), `DeadlineExceeded` is final (the client already gave up).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RejectReason {
-    /// The shard's admission queue is at its bound; retry after backoff.
-    Shed,
-    /// The request's deadline passed before it could be dispatched.
-    DeadlineExceeded,
-    /// The shard is degraded to read-only (memory pressure); writes are
-    /// refused until pressure clears.
-    ShardUnavailable,
-}
-
-impl RejectReason {
-    /// Stable lowercase name for reports and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            RejectReason::Shed => "shed",
-            RejectReason::DeadlineExceeded => "deadline_exceeded",
-            RejectReason::ShardUnavailable => "shard_unavailable",
-        }
-    }
-}
 
 /// A sharded-store request failure: either a typed rejection by the
 /// admission layer or an underlying SpaceJMP error.
@@ -218,8 +196,8 @@ pub struct ShardedKv {
     router: ShardRouter,
     clients: Vec<JmpClient>,
     store_sids: Vec<SegId>,
-    /// Per-shard admission bound on switch-queue depth.
-    queue_cap: usize,
+    /// Admission and deadline rules (the default queue bound).
+    policy: ServePolicy,
     /// This handle's client index (stamped into request ids and
     /// `ReqArrive.arg1` so traces can attribute requests to clients).
     client_idx: usize,
@@ -231,10 +209,6 @@ pub struct ShardedKv {
     /// disproportionate share).
     sheds: u64,
 }
-
-/// Default per-shard admission bound: more blocked switchers than this
-/// and new arrivals are shed instead of queued.
-const DEFAULT_QUEUE_CAP: usize = 32;
 
 impl ShardedKv {
     /// Joins (or lazily initializes) `shards` stores named
@@ -301,16 +275,11 @@ impl ShardedKv {
             router: ShardRouter::new(shards),
             clients,
             store_sids,
-            queue_cap: DEFAULT_QUEUE_CAP,
+            policy: ServePolicy::new(ServePolicy::DEFAULT_QUEUE_CAP),
             client_idx,
             req_seq: 0,
             sheds: 0,
         })
-    }
-
-    /// Sets the per-shard admission bound (default 32 queued switchers).
-    pub fn set_queue_cap(&mut self, cap: usize) {
-        self.queue_cap = cap.max(1);
     }
 
     /// Number of shards.
@@ -356,21 +325,8 @@ impl ShardedKv {
         self.sheds
     }
 
-    /// Admission check for shard `s`: shed when the shard's switch
-    /// queue is at the bound, refuse writes when degraded. Tallies
-    /// sheds per handle for fairness accounting.
-    fn admit(&mut self, sj: &SpaceJmp, s: usize, write: bool) -> Result<(), ShardError> {
-        if write && self.degraded(sj, s) {
-            return Err(ShardError::Rejected(RejectReason::ShardUnavailable));
-        }
-        if sj.seg_wait_depth(self.store_sids[s]) >= self.queue_cap {
-            self.sheds += 1;
-            return Err(ShardError::Rejected(RejectReason::Shed));
-        }
-        Ok(())
-    }
-
-    /// The calling core and its cycle timestamp, for trace attribution.
+    /// The calling core and its cycle timestamp, for deadlines and trace
+    /// attribution.
     fn now_core(&self, sj: &SpaceJmp) -> (u64, u32) {
         let core = sj
             .kernel()
@@ -401,35 +357,42 @@ impl ShardedKv {
         sj.tracer().instant(ts, core, kind, id, arg1);
     }
 
-    /// Emits `ReqShed` with the rejection's stable shed code.
-    fn req_reject(&self, sj: &SpaceJmp, id: Option<u64>, e: &ShardError) {
-        let code = match e {
-            ShardError::Rejected(RejectReason::Shed) => 0,
-            ShardError::Rejected(RejectReason::DeadlineExceeded) => 1,
-            ShardError::Rejected(RejectReason::ShardUnavailable) => 2,
-            ShardError::Inner(_) => return,
+    /// The one request path behind GET, SET and DEL: deadline and
+    /// admission per `ServePolicy`, then `op` on the owning shard,
+    /// with the request's lifecycle traced when the tracer is on.
+    fn request<T>(
+        &mut self,
+        sj: &mut SpaceJmp,
+        key: &[u8],
+        write: bool,
+        deadline: Option<u64>,
+        op: impl FnOnce(&mut JmpClient, &mut SpaceJmp) -> SjResult<T>,
+    ) -> Result<T, ShardError> {
+        let s = self.shard_of(key);
+        let id = self.req_begin(sj);
+        let verdict = if ServePolicy::missed(self.now_core(sj).0, deadline) {
+            Err(RejectReason::DeadlineExceeded)
+        } else {
+            let depth = sj.seg_wait_depth(self.store_sids[s]);
+            self.policy.admit(write, self.degraded(sj, s), depth)
         };
-        self.req_mark(sj, id, EventKind::ReqShed, code);
-    }
-
-    /// Emits `ReqComplete` with the within-deadline flag.
-    fn req_complete(&self, sj: &SpaceJmp, id: Option<u64>, deadline: Option<u64>) {
-        if id.is_none() {
-            return;
-        }
-        let within = deadline.is_none_or(|d| sj.kernel().clock().now() <= d);
-        self.req_mark(sj, id, EventKind::ReqComplete, u64::from(within));
-    }
-
-    /// Deadline check: a request whose deadline (absolute cycles) has
-    /// already passed is rejected before dispatch.
-    fn check_deadline(sj: &SpaceJmp, deadline: Option<u64>) -> Result<(), ShardError> {
-        if let Some(d) = deadline {
-            if sj.kernel().clock().now() > d {
-                return Err(ShardError::Rejected(RejectReason::DeadlineExceeded));
+        if let Err(reason) = verdict {
+            if reason == RejectReason::Shed {
+                self.sheds += 1;
             }
+            self.req_mark(sj, id, EventKind::ReqShed, reason.shed_code());
+            return Err(ShardError::Rejected(reason));
         }
-        Ok(())
+        self.req_mark(sj, id, EventKind::ReqAdmit, s as u64);
+        // arg1 = 0: on the live path the switch share is carried by the
+        // nested `VasSwitch` spans between dispatch and completion.
+        self.req_mark(sj, id, EventKind::ReqDispatch, 0);
+        let out = op(&mut self.clients[s], sj);
+        if id.is_some() {
+            let within = !ServePolicy::missed(self.now_core(sj).0, deadline);
+            self.req_mark(sj, id, EventKind::ReqComplete, u64::from(within));
+        }
+        Ok(out?)
     }
 
     /// GET routed to the owning shard, no deadline.
@@ -441,12 +404,13 @@ impl ShardedKv {
         self.get_by(sj, key, None)
     }
 
-    /// GET with an absolute deadline in cycles ([`None`] = none).
+    /// GET with an absolute deadline in cycles on the caller's core
+    /// clock ([`None`] = none).
     ///
     /// # Errors
     ///
     /// [`RejectReason::DeadlineExceeded`] when the deadline already
-    /// passed at dispatch; [`RejectReason::Shed`] at the admission
+    /// passed at admission; [`RejectReason::Shed`] at the admission
     /// bound; inner errors otherwise.
     pub fn get_by(
         &mut self,
@@ -454,19 +418,7 @@ impl ShardedKv {
         key: &[u8],
         deadline: Option<u64>,
     ) -> Result<Option<Vec<u8>>, ShardError> {
-        let s = self.shard_of(key);
-        let id = self.req_begin(sj);
-        if let Err(e) = Self::check_deadline(sj, deadline).and_then(|()| self.admit(sj, s, false)) {
-            self.req_reject(sj, id, &e);
-            return Err(e);
-        }
-        self.req_mark(sj, id, EventKind::ReqAdmit, s as u64);
-        // arg1 = 0: on the live path the switch share is carried by the
-        // nested `VasSwitch` spans between dispatch and completion.
-        self.req_mark(sj, id, EventKind::ReqDispatch, 0);
-        let out = self.clients[s].get(sj, key);
-        self.req_complete(sj, id, deadline);
-        Ok(out?)
+        self.request(sj, key, false, deadline, |c, sj| c.get(sj, key))
     }
 
     /// SET routed to the owning shard, no deadline.
@@ -480,7 +432,8 @@ impl ShardedKv {
         self.set_by(sj, key, val, None)
     }
 
-    /// SET with an absolute deadline in cycles ([`None`] = none).
+    /// SET with an absolute deadline in cycles on the caller's core
+    /// clock ([`None`] = none).
     ///
     /// # Errors
     ///
@@ -492,17 +445,7 @@ impl ShardedKv {
         val: &[u8],
         deadline: Option<u64>,
     ) -> Result<(), ShardError> {
-        let s = self.shard_of(key);
-        let id = self.req_begin(sj);
-        if let Err(e) = Self::check_deadline(sj, deadline).and_then(|()| self.admit(sj, s, true)) {
-            self.req_reject(sj, id, &e);
-            return Err(e);
-        }
-        self.req_mark(sj, id, EventKind::ReqAdmit, s as u64);
-        self.req_mark(sj, id, EventKind::ReqDispatch, 0);
-        let out = self.clients[s].set(sj, key, val);
-        self.req_complete(sj, id, deadline);
-        Ok(out?)
+        self.request(sj, key, true, deadline, |c, sj| c.set(sj, key, val))
     }
 
     /// DEL routed to the owning shard (write path: degrades and sheds
@@ -512,17 +455,7 @@ impl ShardedKv {
     ///
     /// As [`Self::set`].
     pub fn del(&mut self, sj: &mut SpaceJmp, key: &[u8]) -> Result<bool, ShardError> {
-        let s = self.shard_of(key);
-        let id = self.req_begin(sj);
-        if let Err(e) = self.admit(sj, s, true) {
-            self.req_reject(sj, id, &e);
-            return Err(e);
-        }
-        self.req_mark(sj, id, EventKind::ReqAdmit, s as u64);
-        self.req_mark(sj, id, EventKind::ReqDispatch, 0);
-        let out = self.clients[s].del(sj, key);
-        self.req_complete(sj, id, None);
-        Ok(out?)
+        self.request(sj, key, true, None, |c, sj| c.del(sj, key))
     }
 }
 
@@ -633,6 +566,26 @@ mod tests {
         assert_eq!(
             kvs[0].get_by(&mut sj, b"k", Some(far)).unwrap(),
             Some(b"v".to_vec())
+        );
+    }
+
+    #[test]
+    fn deadlines_read_the_callers_core_clock() {
+        // Client 1 runs on core 1, whose clock its own SETs drive past
+        // the boot core's.
+        let (mut sj, mut kvs) = setup(2, 2);
+        for i in 0..200 {
+            kvs[1]
+                .set(&mut sj, format!("k{i}").as_bytes(), b"v")
+                .unwrap();
+        }
+        let core = sj.kernel().ctx_of(kvs[1].clients[0].pid()).unwrap().core;
+        assert_eq!(core, 1);
+        let own = sj.kernel().clocks().now_on(core);
+        assert!(own > sj.kernel().clock().now(), "core 1 ran ahead");
+        assert_eq!(
+            kvs[1].get_by(&mut sj, b"k0", Some(own - 1)),
+            Err(ShardError::Rejected(RejectReason::DeadlineExceeded))
         );
     }
 

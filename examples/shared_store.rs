@@ -49,7 +49,8 @@ fn main() -> SjResult<()> {
 
     // Throughput context: this is why the paper's Figure 10 shows
     // RedisJMP several times ahead of socket-served Redis.
-    let costs = spacejmp::kv::measure_costs(false)?;
+    let costs =
+        spacejmp::kv::measure_costs_on(MachineId::M1, false, spacejmp::trace::Tracer::disabled())?;
     println!(
         "measured visit costs: GET {} cycles, SET {} cycles (vs ~36k cycles of socket round trip)",
         costs.jmp_get, costs.jmp_set

@@ -2,7 +2,7 @@
 //! across all crates of the workspace.
 
 use spacejmp::gups::{run as gups_run, Design, GupsConfig};
-use spacejmp::kv::{measure_costs, JmpClient};
+use spacejmp::kv::{measure_costs_on, JmpClient};
 use spacejmp::prelude::*;
 use spacejmp::rpc::SimSocket;
 
@@ -89,7 +89,8 @@ fn switching_beats_remapping() {
 fn switch_pair_beats_socket_round_trip() {
     let cost = spacejmp::mem::CostModel::default();
     let socket = SimSocket::round_trip_cost(&cost, 32, 16);
-    let costs = measure_costs(false).unwrap();
+    let costs =
+        measure_costs_on(MachineId::M1, false, spacejmp::trace::Tracer::disabled()).unwrap();
     assert!(
         costs.jmp_get < socket,
         "full RedisJMP visit ({}) must beat the socket round trip ({})",
